@@ -25,14 +25,15 @@ the offline call.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import kernels
 from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
-from repro.core.partitioner import PartitionedOutput
+from repro.core.partitioner import PartitionedOutput, PartitionSlices
 from repro.errors import PartitionOverflowError
+from repro.exec.morsels import parts_dtype
 from repro.storage.spill import config_from_dict, config_to_dict
 
 __all__ = [
@@ -238,36 +239,51 @@ def stitch_output(
     partition order.  Stability of the partitioner guarantees that
     per-partition concatenation across chunks in stream order equals
     the offline single-call output byte for byte.
+
+    One scatter pass: chunk ``c``'s partition ``p`` lands at the
+    manifest's global start of ``p`` plus the tuples earlier chunks put
+    there, so every chunk is scattered straight from its frame views
+    into two preallocated output columns (concatenating the chunks
+    first would hold the stream's tuples twice).  The columns come
+    back behind :class:`PartitionSlices` like the offline call's.
     """
     effective = manifest_config(manifest)
     num_partitions = effective.num_partitions
-    empty = np.empty(0, dtype=np.uint32)
-    slices_keys: List[List[np.ndarray]] = [[] for _ in range(num_partitions)]
-    slices_pays: List[List[np.ndarray]] = [[] for _ in range(num_partitions)]
-    for counts, keys, pays in chunks:
-        bounds = np.zeros(num_partitions + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        for p in range(num_partitions):
-            if counts[p]:
-                slices_keys[p].append(keys[bounds[p]:bounds[p + 1]])
-                slices_pays[p].append(pays[bounds[p]:bounds[p + 1]])
-    partition_keys = [
-        np.concatenate(parts) if parts else empty for parts in slices_keys
-    ]
-    partition_payloads = [
-        np.concatenate(parts) if parts else empty for parts in slices_pays
-    ]
     counts = np.asarray(manifest["counts"], dtype=np.int64)
-    stitched = np.asarray([k.shape[0] for k in partition_keys], dtype=np.int64)
-    if not np.array_equal(counts, stitched):
+    stitched = np.zeros(num_partitions, dtype=np.int64)
+    for chunk_counts, _, _ in chunks:
+        stitched += chunk_counts
+    # checked before any scatter: with every partition's total right,
+    # no chunk can write outside its partitions' output regions
+    if not np.array_equal(stitched, counts):
         raise ValueError(
             "stitched partition sizes disagree with the manifest "
             "(missing or reordered chunk frames?)"
         )
+    boundaries = np.zeros(num_partitions + 1, dtype=np.int64)
+    np.cumsum(counts, out=boundaries[1:])
+    out_keys = np.empty(int(boundaries[-1]), dtype=np.uint32)
+    out_pays = np.empty(int(boundaries[-1]), dtype=np.uint32)
+    labels = np.arange(num_partitions, dtype=parts_dtype(num_partitions))
+    # where the current chunk's partitions start: the global partition
+    # starts plus everything earlier chunks put there
+    cursor = boundaries[:-1].copy()
+    for chunk_counts, keys, pays in chunks:
+        parts = np.repeat(labels, chunk_counts)
+        if keys.shape[0] != parts.shape[0] or pays.shape[0] != parts.shape[0]:
+            raise ValueError(
+                f"chunk columns hold {keys.shape[0]} keys and "
+                f"{pays.shape[0]} payloads but its counts sum to "
+                f"{parts.shape[0]}"
+            )
+        kernels.stable_scatter(
+            keys, pays, parts, cursor, num_partitions, out_keys, out_pays
+        )
+        cursor += chunk_counts
     return PartitionedOutput(
         config=effective,
-        partition_keys=partition_keys,
-        partition_payloads=partition_payloads,
+        partition_keys=PartitionSlices(out_keys, boundaries),
+        partition_payloads=PartitionSlices(out_pays, boundaries),
         counts=counts,
         lines_per_partition=np.asarray(
             manifest["lines_per_partition"], dtype=np.int64

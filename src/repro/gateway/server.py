@@ -92,6 +92,24 @@ class _ChunkResult:
         self.reason = reason
 
 
+def _waker(loop: asyncio.AbstractEventLoop, future: asyncio.Future):
+    """A ticket done-callback completing ``future`` on ``loop``; it runs
+    on the service's dispatcher thread."""
+
+    def wake(_ticket) -> None:
+        try:
+            loop.call_soon_threadsafe(_set_done, future)
+        except RuntimeError:
+            pass  # the loop is closed: nobody is waiting any more
+
+    return wake
+
+
+def _set_done(future: asyncio.Future) -> None:
+    if not future.done():  # the waiting task may have been cancelled
+        future.set_result(None)
+
+
 class _ServiceBackend:
     """Chunk executor over a single in-process ``PartitionService``."""
 
@@ -101,6 +119,7 @@ class _ServiceBackend:
     async def partition_chunk(
         self, keys, payloads, config, priority, deadline_s, on_stall
     ) -> _ChunkResult:
+        loop = asyncio.get_running_loop()
         attempts = 0
         while True:
             try:
@@ -122,7 +141,12 @@ class _ServiceBackend:
                 raise protocol.GatewayStreamError(
                     ErrorCode.FAILED.value, str(exc)
                 ) from exc
-            response = await asyncio.to_thread(ticket.result, None)
+            # event-driven wait: the dispatcher's resolve wakes this
+            # coroutine through the loop, no executor thread per chunk
+            resolved = loop.create_future()
+            ticket.add_done_callback(_waker(loop, resolved))
+            await resolved
+            response = ticket.result()
             if response.status is RequestStatus.REJECTED:
                 attempts += 1
                 if attempts > MAX_STALL_RETRIES:
@@ -164,6 +188,8 @@ class _RouterBackend:
     async def partition_chunk(
         self, keys, payloads, config, priority, deadline_s, on_stall
     ) -> _ChunkResult:
+        # ShardRouter.partition blocks until every shard answered, so
+        # this backend still waits on an executor thread per chunk
         response = await asyncio.to_thread(
             self.router.partition,
             keys,
@@ -357,7 +383,7 @@ class _Connection:
                 # chunks already in flight, then let flush exit
                 self._pending.put_nowait(None)
             # flush must settle either way so every submitted chunk
-            # task is awaited (no orphaned executor waits); connection
+            # task is awaited (no orphaned chunk waits); connection
             # errors propagate to run()
             flush_error = None
             try:

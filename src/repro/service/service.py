@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import logging
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +51,8 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.queue import AdmissionQueue, QueueFullError
 from repro.service.scheduler import Batch, BatchingScheduler, request_signature
 from repro.workloads.relations import Relation
+
+_LOG = logging.getLogger(__name__)
 
 
 class ServiceDrainingError(ReproError):
@@ -183,6 +186,8 @@ class PartitionTicket:
         self.request_id = request_id
         self._event = threading.Event()
         self._response: Optional[PartitionResponse] = None
+        self._lock = threading.Lock()
+        self._callbacks: Optional[List[_DoneCallback]] = None
 
     def done(self) -> bool:
         """True once the request has resolved (any terminal status)."""
@@ -198,9 +203,43 @@ class PartitionTicket:
         assert self._response is not None
         return self._response
 
+    def add_done_callback(self, fn: _DoneCallback) -> None:
+        """Call ``fn(ticket)`` exactly once, when the ticket resolves.
+
+        ``fn`` runs on the resolving thread — usually the service's
+        dispatcher — so it must be quick and must not block (hand off,
+        e.g. with ``loop.call_soon_threadsafe``).  On an already
+        resolved ticket it runs right away, on the calling thread.
+        Either way :meth:`result` no longer blocks once ``fn`` runs.
+        An exception from ``fn`` is logged and swallowed.
+        """
+        with self._lock:
+            if self._response is None:
+                if self._callbacks is None:
+                    self._callbacks = []
+                self._callbacks.append(fn)
+                return
+        _run_callback(fn, self)
+
     def _resolve(self, response: PartitionResponse) -> None:
-        self._response = response
-        self._event.set()
+        with self._lock:
+            self._response = response
+            self._event.set()
+            callbacks, self._callbacks = self._callbacks, None
+        for fn in callbacks or ():
+            _run_callback(fn, self)
+
+
+_DoneCallback = Callable[[PartitionTicket], None]
+
+
+def _run_callback(fn: _DoneCallback, ticket: PartitionTicket) -> None:
+    try:
+        fn(ticket)
+    except Exception:  # noqa: BLE001 - a callback must not fail the resolver
+        _LOG.exception(
+            "done-callback of request %d raised", ticket.request_id
+        )
 
 
 @dataclasses.dataclass
@@ -482,8 +521,15 @@ class PartitionService:
             span.start_s = now
             pending.span = span
         self.metrics.increment("submitted")
+        # counted before the queue publishes the request: the
+        # dispatcher may complete it before offer() even returns, and
+        # completed + failed + timed_out must never exceed admitted
+        self.metrics.increment("admitted")
         if not self.queue.offer(pending, int(request.priority), pending.tuples):
             retry_after = self.queue.retry_after_hint()
+            # undo the admission first: admitted + rejected never
+            # overshoots submitted in between
+            self.metrics.increment("admitted", -1)
             self.metrics.increment("rejected")
             if pending.span is not None:
                 pending.span.set_attributes(status="rejected")
@@ -498,7 +544,6 @@ class PartitionService:
                 )
             )
             return ticket
-        self.metrics.increment("admitted")
         self.metrics.set_gauge("queue_depth", len(self.queue))
         return ticket
 
@@ -553,8 +598,12 @@ class PartitionService:
             pending.span = span
         self.metrics.increment("submitted")
         self.metrics.increment("plans_submitted")
+        self.metrics.increment("admitted")  # before publication, as in submit
         if not self.queue.offer(pending, int(request.priority), pending.tuples):
             retry_after = self.queue.retry_after_hint()
+            # undo the admission first: admitted + rejected never
+            # overshoots submitted in between
+            self.metrics.increment("admitted", -1)
             self.metrics.increment("rejected")
             if pending.span is not None:
                 pending.span.set_attributes(status="rejected")
@@ -569,7 +618,6 @@ class PartitionService:
                 )
             )
             return ticket
-        self.metrics.increment("admitted")
         self.metrics.set_gauge("queue_depth", len(self.queue))
         return ticket
 
@@ -641,7 +689,26 @@ class PartitionService:
                 continue
             self.metrics.set_gauge("queue_depth", len(self.queue))
             for batch in batches:
-                self._execute_batch(batch)
+                try:
+                    self._execute_batch(batch)
+                except Exception as exc:  # noqa: BLE001 - keep dispatching
+                    _LOG.exception(
+                        "batch of %d requests raised", len(batch.entries)
+                    )
+                    self._fail_unresolved(batch, exc)
+
+    def _fail_unresolved(self, batch: Batch, exc: Exception) -> None:
+        """An unexpected error escaped a batch: resolve every ticket it
+        left open ``FAILED`` so no client waits forever, and let the
+        dispatcher carry on with the next batch."""
+        self.metrics.set_gauge("inflight", 0)
+        # a half-open probe the batch claimed never got an outcome
+        self.policy.breaker.release_probe()
+        unresolved = [e for e in batch.entries if not e.ticket.done()]
+        if unresolved:
+            self._resolve_failed(
+                unresolved, attempts=1, error=f"{type(exc).__name__}: {exc}"
+            )
 
     def _execute_batch(self, batch: Batch) -> None:
         now = self._clock()

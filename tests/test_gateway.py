@@ -30,8 +30,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.cluster import ShardRouter
-from repro.core.modes import LayoutMode, OutputMode, PartitionerConfig
+from repro.core.modes import (
+    HashKind,
+    LayoutMode,
+    OutputMode,
+    PartitionerConfig,
+)
 from repro.core.partitioner import FpgaPartitioner
 from repro.errors import PartitionOverflowError
 from repro.gateway import (
@@ -45,9 +51,19 @@ from repro.gateway import (
     stream_partition,
 )
 from repro.gateway import protocol
+from repro.gateway.chunking import (
+    StreamAccounting,
+    chunk_config,
+    global_payloads,
+    stitch_output,
+)
 from repro.gateway.protocol import ErrorCode, FrameType
 from repro.service import PartitionService, ServiceDrainingError
 from repro.workloads.relations import make_relation
+
+KERNEL_BACKENDS = ["numpy"] + (
+    ["native"] if kernels.native_available() else []
+)
 
 MODES = [
     (OutputMode.HIST, LayoutMode.RID),
@@ -282,6 +298,132 @@ class TestByteIdentity:
         assert outputs_identical(output, reference)
 
 
+def _frames(config, keys, payloads, sizes, on_overflow="hist"):
+    """Chunk the relation at ``sizes`` (zeros allowed), partition each
+    chunk the way the server does, and round-trip every result through
+    a CHUNK frame: returns ``(manifest, decoded chunks)``."""
+    accounting = StreamAccounting(config, on_overflow)
+    partitioner = FpgaPartitioner(chunk_config(config))
+    use_client = (
+        payloads is not None and config.layout_mode is not LayoutMode.VRID
+    )
+    num_partitions = config.num_partitions
+    chunks = []
+    start = 0
+    try:
+        for seq, size in enumerate(sizes):
+            chunk = keys[start:start + size]
+            offset = accounting.observe(chunk)
+            pays = global_payloads(
+                payloads[start:start + size] if use_client else None,
+                offset,
+                size,
+            )
+            start += size
+            if size:
+                out = partitioner.partition(chunk, pays)
+                counts = out.counts
+                part_keys = out.partition_keys
+                part_pays = out.partition_payloads
+            else:  # the partitioner refuses empty input; the wire does not
+                counts = np.zeros(num_partitions, dtype=np.int64)
+                part_keys = part_pays = [np.empty(0, dtype=np.uint32)]
+            frame = protocol.encode_chunk(seq, counts, part_keys, part_pays)
+            chunks.append(
+                protocol.decode_chunk(frame[5:], num_partitions)[1:]
+            )
+    finally:
+        partitioner.close()
+    return accounting.finalize(), chunks
+
+
+@st.composite
+def _chunk_sizes(draw):
+    """A relation size and its chunking: one chunk, or many uneven
+    chunks with empty ones mixed in."""
+    n = draw(st.integers(min_value=1, max_value=5_000))
+    if draw(st.booleans()):
+        return n, [n]
+    cuts = sorted(
+        draw(st.lists(st.integers(min_value=0, max_value=n), max_size=12))
+    )
+    bounds = [0] + cuts + [n]
+    return n, [b - a for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+class TestStitch:
+    """``stitch_output`` against the offline call, no socket involved."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        backend=st.sampled_from(KERNEL_BACKENDS),
+        partitions=st.sampled_from([2, 16, 64, 512]),
+        hash_kind=st.sampled_from(list(HashKind)),
+        sizes=_chunk_sizes(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        with_payloads=st.booleans(),
+    )
+    def test_stitch_matches_offline(
+        self, mode, backend, partitions, hash_kind, sizes, seed,
+        with_payloads,
+    ):
+        output_mode, layout_mode = mode
+        config = PartitionerConfig(
+            num_partitions=partitions,
+            output_mode=output_mode,
+            layout_mode=layout_mode,
+            hash_kind=hash_kind,
+        )
+        n, chunk_sizes = sizes
+        keys = make_relation(n, "zipf", seed=seed).keys
+        payloads = (
+            np.arange(7, n + 7, dtype=np.uint32) if with_payloads else None
+        )
+        with kernels.using_backend(backend):
+            reference = _offline(config, keys, payloads)
+            manifest, chunks = _frames(config, keys, payloads, chunk_sizes)
+            output = stitch_output(manifest, chunks)
+        assert outputs_identical(output, reference)
+        assert np.array_equal(
+            output.partition_keys.contiguous(),
+            np.concatenate(list(reference.partition_keys)),
+        )
+
+    def _stream(self):
+        config = _config(OutputMode.HIST, LayoutMode.RID, partitions=16)
+        keys = make_relation(6_000, "zipf", seed=3).keys
+        return _frames(config, keys, None, [2_000, 2_000, 2_000])
+
+    def test_dropped_chunk_raises(self):
+        manifest, chunks = self._stream()
+        with pytest.raises(ValueError, match="disagree with the manifest"):
+            stitch_output(manifest, chunks[:1] + chunks[2:])
+
+    def test_counts_differing_from_manifest_raise(self):
+        manifest, chunks = self._stream()
+        counts, keys, pays = chunks[1]
+        moved = counts.copy()
+        source = int(np.argmax(moved))
+        moved[source] -= 1
+        moved[(source + 1) % moved.shape[0]] += 1
+        with pytest.raises(ValueError, match="disagree with the manifest"):
+            stitch_output(
+                manifest, [chunks[0], (moved, keys, pays), chunks[2]]
+            )
+        manifest["counts"][0] += 1
+        with pytest.raises(ValueError, match="disagree with the manifest"):
+            stitch_output(manifest, chunks)
+
+    def test_columns_shorter_than_counts_raise(self):
+        manifest, chunks = self._stream()
+        counts, keys, pays = chunks[0]
+        with pytest.raises(ValueError, match="counts sum to"):
+            stitch_output(
+                manifest, [(counts, keys[:-1], pays[:-1])] + chunks[1:]
+            )
+
+
 # ---------------------------------------------------------------------------
 # 3. Flow control
 # ---------------------------------------------------------------------------
@@ -444,6 +586,40 @@ class TestFailures:
             )
 
         output = asyncio.run(_with_service_server(body))
+        assert outputs_identical(output, reference)
+
+    def test_batch_exception_fails_chunk_and_service_survives(self):
+        # a payload equal to the reserved dummy makes the partitioner
+        # raise inside the dispatcher: the chunk must fail the stream
+        # with an ERROR frame, not kill the dispatcher and hang it
+        config = _config(OutputMode.HIST, LayoutMode.RID, partitions=16)
+        keys = make_relation(6_000, "zipf", seed=8).keys
+        payloads = np.arange(6_000, dtype=np.uint32)
+        poisoned = payloads.copy()
+        poisoned[3_500] = 0xFFFFFFFF
+        reference = _offline(config, keys, payloads)
+
+        async def body(server):
+            with pytest.raises(GatewayStreamError) as excinfo:
+                await asyncio.wait_for(
+                    stream_partition(
+                        "127.0.0.1", server.port, keys, poisoned,
+                        config=config, chunk_tuples=1_000,
+                    ),
+                    timeout=30,
+                )
+            output = await asyncio.wait_for(
+                stream_partition(
+                    "127.0.0.1", server.port, keys, payloads,
+                    config=config, chunk_tuples=1_000,
+                ),
+                timeout=30,
+            )
+            return excinfo.value, output
+
+        error, output = asyncio.run(_with_service_server(body))
+        assert error.code == ErrorCode.FAILED.value
+        assert "ConfigurationError" in str(error)
         assert outputs_identical(output, reference)
 
     def test_midstream_kill_leaves_survivors_intact(self):

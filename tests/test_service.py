@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -19,7 +20,9 @@ from repro.service import (
     FaultInjector,
     LatencyHistogram,
     PartitionRequest,
+    PartitionResponse,
     PartitionService,
+    PartitionTicket,
     QueueFullError,
     RequestStatus,
     ServiceMetrics,
@@ -540,7 +543,158 @@ class TestPartitionService:
 
 
 # ---------------------------------------------------------------------------
+# PartitionTicket.add_done_callback
+
+
+def _ok(ticket: PartitionTicket) -> PartitionResponse:
+    return PartitionResponse(
+        request_id=ticket.request_id, status=RequestStatus.OK
+    )
+
+
+class TestTicketCallbacks:
+    def test_registered_before_resolution_fires_once(self):
+        ticket = PartitionTicket(1)
+        calls = []
+
+        def callback(t):
+            # the response is readable without blocking from the callback
+            calls.append((t, t.result(timeout=0).status))
+
+        ticket.add_done_callback(callback)
+        assert calls == []
+        ticket._resolve(_ok(ticket))
+        assert calls == [(ticket, RequestStatus.OK)]
+
+    def test_registered_after_resolution_fires_immediately(self):
+        ticket = PartitionTicket(2)
+        ticket._resolve(_ok(ticket))
+        calls = []
+        ticket.add_done_callback(
+            lambda t: calls.append(threading.get_ident())
+        )
+        assert calls == [threading.get_ident()]
+
+    def test_concurrent_registration_and_resolution_fire_exactly_once(self):
+        # a tiny switch interval makes the two threads interleave inside
+        # add_done_callback/_resolve; the start order alternates so
+        # either side can be first past the barrier
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(300):
+                ticket = PartitionTicket(trial)
+                barrier = threading.Barrier(2)
+                calls = []
+
+                def register():
+                    barrier.wait()
+                    for i in range(8):
+                        ticket.add_done_callback(
+                            lambda t, i=i: calls.append(i)
+                        )
+
+                def resolve():
+                    barrier.wait()
+                    ticket._resolve(_ok(ticket))
+
+                threads = [
+                    threading.Thread(target=register),
+                    threading.Thread(target=resolve),
+                ][:: 1 if trial % 2 else -1]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert sorted(calls) == list(range(8)), (trial, calls)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_raising_callback_does_not_block_the_others(self):
+        ticket = PartitionTicket(3)
+        calls = []
+
+        def bad(_):
+            raise RuntimeError("boom")
+
+        ticket.add_done_callback(bad)
+        ticket.add_done_callback(lambda t: calls.append(t.request_id))
+        ticket._resolve(_ok(ticket))
+        assert calls == [3]
+        assert ticket.done()
+
+    def test_service_fires_callback_on_the_dispatcher(self, relations):
+        threads = []
+        with PartitionService() as service:
+            ticket = service.submit(PartitionRequest(relation=relations[0]))
+            ticket.add_done_callback(
+                lambda t: threads.append(threading.current_thread().name)
+            )
+            response = ticket.result(timeout=30)
+        assert response.status is RequestStatus.OK
+        # resolved on the dispatcher, or on this thread if it was
+        # already done by the time the callback was registered
+        assert len(threads) == 1
+        assert threads[0] in (
+            "partition-service-dispatcher",
+            threading.current_thread().name,
+        )
+
+
+# ---------------------------------------------------------------------------
 # Regression tests: service-tier bugfix sweep
+
+
+class TestDispatcherSurvivesBatchErrors:
+    def test_unexpected_error_fails_batch_and_dispatch_continues(self):
+        keys = np.arange(1_000, dtype=np.uint32)
+        poisoned = np.arange(1_000, dtype=np.uint32)
+        poisoned[10] = 0xFFFFFFFF  # the reserved dummy payload: raises
+        with PartitionService() as service:
+            bad = service.submit(
+                PartitionRequest(relation=keys, payloads=poisoned)
+            ).result(timeout=30)
+            good = service.submit(
+                PartitionRequest(relation=keys)
+            ).result(timeout=30)
+            counters = service.metrics.to_dict()["counters"]
+        assert bad.status is RequestStatus.FAILED
+        assert bad.error.startswith("ConfigurationError: ")
+        assert good.status is RequestStatus.OK
+        assert counters["failed"] == 1
+        assert counters["completed"] == 1
+
+
+class TestAdmissionCounting:
+    def test_completion_never_outruns_admission(self, relations):
+        # the worst interleaving, forced: the dispatcher completes the
+        # request before offer() has returned to submit()
+        with PartitionService() as service:
+            offer = service.queue.offer
+            seen = []
+
+            def offer_then_complete(item, priority, tuples):
+                published = offer(item, priority, tuples)
+                item.ticket.result(timeout=30)
+                seen.append(service.metrics.to_dict()["counters"])
+                return published
+
+            service.queue.offer = offer_then_complete
+            service.submit(PartitionRequest(relation=relations[0]))
+        assert seen[0]["completed"] == 1
+        assert seen[0]["admitted"] == 1
+
+    def test_failed_offer_reclassifies_as_rejected(self, relations):
+        with PartitionService() as service:
+            service.queue.offer = lambda item, priority, tuples: False
+            response = service.submit(
+                PartitionRequest(relation=relations[0])
+            ).result(timeout=30)
+            counters = service.metrics.to_dict()["counters"]
+        assert response.status is RequestStatus.REJECTED
+        assert counters["submitted"] == 1
+        assert counters["admitted"] == 0
+        assert counters["rejected"] == 1
 
 
 class TestHalfOpenSingleProbe:

@@ -194,6 +194,13 @@ def test_concurrent_submit_snapshot_and_export():
                 counters = snap["counters"]
                 # a torn read would let completed outrun admitted
                 assert counters["completed"] <= counters["admitted"]
+                # admission is counted before the request is published
+                assert (
+                    counters["completed"]
+                    + counters["failed"]
+                    + counters["timed_out"]
+                    <= counters["admitted"]
+                )
                 assert (
                     counters["admitted"] + counters["rejected"]
                     <= counters["submitted"]
